@@ -31,10 +31,13 @@ ci: vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke ben
 # Merkle-verified read-through (including across a reopen), crash images
 # cut at every upload/eviction stage recover without losing acked rows,
 # a flipped object byte falls back to a replica, and the tiered scan
-# benchmark still runs (resident / cached / cold-fetch).
+# benchmark still runs (resident / cached / cold-fetch). Nodes sweep
+# concurrently, so the crash-image capture and the one-node-blocked
+# partial failure also run ten times under the race detector.
 tier-smoke:
 	$(GO) test -count=1 -run TestTieredEngineCorpus ./internal/enginetest/
 	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
+	$(GO) test -race -count=10 -run 'TestTieredCrashRecovery|TestTierSweepPartialFailure' ./internal/store/
 	$(GO) test -run XXX -bench BenchmarkTieredScan -benchtime 1x .
 
 # Exposition-format lint plus cluster observability: every /v1/metrics

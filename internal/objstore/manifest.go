@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -127,18 +128,22 @@ func (m *Manifest) MaxSeq() uint64 {
 	return max
 }
 
-// Put durably records e, replacing any previous entry for the same Seq.
-func (m *Manifest) Put(e ManifestEntry) error {
+// Put durably records es with one manifest write, replacing any previous
+// entries for the same Seqs. All or nothing: when the save fails, the
+// in-memory entries roll back and the file on disk keeps its old
+// contents.
+func (m *Manifest) Put(es ...ManifestEntry) error {
+	if len(es) == 0 {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev, had := m.entries[e.Seq]
-	m.entries[e.Seq] = e
+	prev := maps.Clone(m.entries)
+	for _, e := range es {
+		m.entries[e.Seq] = e
+	}
 	if err := m.saveLocked(); err != nil {
-		if had {
-			m.entries[e.Seq] = prev
-		} else {
-			delete(m.entries, e.Seq)
-		}
+		m.entries = prev
 		return err
 	}
 	return nil

@@ -62,6 +62,86 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestPutBatch records several entries with one Put: a reload
+// shows every one of them.
+func TestManifestPutBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "TIER")
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(testEntry(4), testEntry(2), testEntry(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(); err != nil { // an empty batch writes nothing
+		t.Fatal(err)
+	}
+	re, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := re.Entries()
+	if len(got) != 4 {
+		t.Fatalf("reloaded %d entries, want 4: %+v", len(got), got)
+	}
+	for i, e := range got {
+		if e != testEntry(uint64(i+1)) {
+			t.Fatalf("entry %d after reload: %+v", i+1, e)
+		}
+	}
+}
+
+// TestManifestPutBatchAllOrNothing fails a batch save by replacing the
+// manifest's parent directory with a regular file: none of the batch may
+// stay in memory, and the earlier entries stay in memory and on disk.
+func TestManifestPutBatchAllOrNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "seg")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "TIER")
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(testEntry(1), testEntry(2)); err != nil {
+		t.Fatal(err)
+	}
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(testEntry(2), testEntry(3)); err == nil {
+		t.Fatal("Put succeeded with its directory replaced by a file")
+	}
+	got := m.Entries()
+	if len(got) != 2 || got[0] != testEntry(1) || got[1] != testEntry(2) {
+		t.Fatalf("in-memory entries after a failed batch: %+v", got)
+	}
+	if m.MaxSeq() != 2 {
+		t.Fatalf("MaxSeq after a failed batch = %d, want 2", m.MaxSeq())
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Entries(); len(got) != 2 || got[0] != testEntry(1) || got[1] != testEntry(2) {
+		t.Fatalf("on-disk entries after a failed batch: %+v", got)
+	}
+}
+
 func TestManifestRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "TIER")
 	m, _ := LoadManifest(path)

@@ -3,7 +3,6 @@ package objstore
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"time"
@@ -141,9 +140,9 @@ func (t *Tier) UploadAndVerify(ctx context.Context, key string, src io.ReaderAt,
 		t.store.Delete(ctx, key)
 		return fmt.Errorf("%w: %s: uploaded %d bytes, object store reports %d", ErrIntegrity, key, size, got)
 	}
-	// Read back in chunks, comparing digests per chunk (constant memory,
+	// Read back in chunks and compare byte for byte (constant memory,
 	// catches any divergence without trusting the backend's checksums).
-	local := make([]byte, uploadChunk)
+	local := make([]byte, min(size, uploadChunk))
 	for off := int64(0); off < size; off += uploadChunk {
 		n := min(int64(uploadChunk), size-off)
 		remote, err := t.store.ReadRange(ctx, key, off, n)
@@ -153,7 +152,7 @@ func (t *Tier) UploadAndVerify(ctx context.Context, key string, src io.ReaderAt,
 		if _, err := src.ReadAt(local[:n], off); err != nil {
 			return fmt.Errorf("objstore: verify local read of %s: %w", key, err)
 		}
-		if sha256.Sum256(remote) != sha256.Sum256(local[:n]) || !bytes.Equal(remote, local[:n]) {
+		if !bytes.Equal(remote, local[:n]) {
 			t.store.Delete(ctx, key)
 			t.VerifyFailures.Inc()
 			return fmt.Errorf("%w: %s: read-back mismatch at offset %d", ErrIntegrity, key, off)

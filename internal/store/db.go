@@ -490,23 +490,46 @@ func (db *DB) compactorLoop() {
 	}
 }
 
-// maintain runs one compaction + commitlog-truncation + tiering pass.
-// Per-node failures are joined rather than aborting the pass — a broken
-// object-store endpoint must not stop other nodes from compacting — and
-// every failed pass increments MaintenanceErrors, whether it came from
-// the background compactor or an explicit Compact call.
-func (db *DB) maintain(threshold int) (int, error) {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	total := 0
-	var errs []error
-	for _, id := range db.NodeIDs() {
+// eachDurableNode runs fn on every local durable node concurrently, one
+// goroutine per node, and joins their errors in node-id order. Nodes
+// share nothing on this path but the objstore.Tier, which is safe for
+// concurrent use; each goroutine owns its node's store, so per-store
+// serialization (one CompactPartition at a time) still holds.
+func (db *DB) eachDurableNode(fn func(n *Node) error) error {
+	ids := db.NodeIDs()
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
 		n := db.Node(id)
 		if n.persist == nil {
 			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(n); err != nil {
+				errs[i] = fmt.Errorf("store: node %s: %w", id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// maintain runs one compaction + commitlog-truncation + tiering pass over
+// every local node concurrently. Per-node failures are joined rather than
+// aborting the pass — a broken object-store endpoint must not stop other
+// nodes from compacting — and every failed pass increments
+// MaintenanceErrors, whether it came from the background compactor or an
+// explicit Compact call.
+func (db *DB) maintain(threshold int) (int, error) {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	var total atomic.Int64
+	err := db.eachDurableNode(func(n *Node) error {
+		var errs []error
 		c, err := n.persist.CompactOverflow(threshold)
-		total += c
+		total.Add(int64(c))
 		if err != nil {
 			errs = append(errs, err)
 		}
@@ -518,22 +541,23 @@ func (db *DB) maintain(threshold int) (int, error) {
 				errs = append(errs, err)
 			}
 		}
-	}
-	if total > 0 {
+		return errors.Join(errs...)
+	})
+	if total.Load() > 0 {
 		db.bumpGeneration()
 	}
-	err := errors.Join(errs...)
 	if err != nil {
 		db.maintErrors.Add(1)
 	}
-	return total, err
+	return int(total.Load()), err
 }
 
 // TierSweep flushes memtables and uploads+evicts segments to the object
-// tier across every local node. force widens the sweep from the cold set
-// (everything but each partition's newest segment) to every eligible
-// segment — the operator trigger behind POST /v1/storage/tier. Failures
-// count as maintenance errors. A no-op without a configured tier.
+// tier across every local node, one goroutine per node. force widens the
+// sweep from the cold set (everything but each partition's newest
+// segment) to every eligible segment — the operator trigger behind
+// POST /v1/storage/tier. Failures count as maintenance errors. A no-op
+// without a configured tier.
 func (db *DB) TierSweep(force bool) (uploaded, evicted int, err error) {
 	if db.cfg.Dir == "" || db.tier == nil {
 		return 0, 0, nil
@@ -544,24 +568,17 @@ func (db *DB) TierSweep(force bool) (uploaded, evicted int, err error) {
 	}
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	var errs []error
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
-		if n.persist == nil {
-			continue
-		}
-		up, ev, serr := n.persist.TierSweep(context.Background(), force)
-		uploaded += up
-		evicted += ev
-		if serr != nil {
-			errs = append(errs, serr)
-		}
-	}
-	err = errors.Join(errs...)
+	var up, ev atomic.Int64
+	err = db.eachDurableNode(func(n *Node) error {
+		u, e, err := n.persist.TierSweep(context.Background(), force)
+		up.Add(int64(u))
+		ev.Add(int64(e))
+		return err
+	})
 	if err != nil {
 		db.maintErrors.Add(1)
 	}
-	return uploaded, evicted, err
+	return int(up.Load()), int(ev.Load()), err
 }
 
 // Tier returns the object-storage tier, or nil when tiering is off. The
@@ -589,13 +606,13 @@ func (db *DB) SegmentInfos() []SegmentListing {
 }
 
 // Flush forces every dirty memtable of a durable cluster onto disk and
-// truncates the commitlog accordingly. A no-op on in-memory clusters.
+// truncates the commitlog accordingly, every local node concurrently. A
+// no-op on in-memory clusters.
 func (db *DB) Flush() error {
 	if db.cfg.Dir == "" {
 		return nil
 	}
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	return db.eachDurableNode(func(n *Node) error {
 		if err := n.flushAll(); err != nil {
 			return err
 		}
@@ -607,21 +624,21 @@ func (db *DB) Flush() error {
 				return err
 			}
 		}
-		if _, err := n.truncateWAL(); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := n.truncateWAL()
+		return err
+	})
 }
 
 // Compact merges every multi-segment partition of a durable cluster down
 // to one on-disk segment per partition (after flushing memtables), and
-// truncates the commitlog. Returns the number of partitions compacted.
+// truncates the commitlog. Returns the number of partitions compacted. A
+// failed flush counts as a maintenance error, like a failed merge.
 func (db *DB) Compact() (int, error) {
 	if db.cfg.Dir == "" {
 		return 0, nil
 	}
 	if err := db.Flush(); err != nil {
+		db.maintErrors.Add(1)
 		return 0, err
 	}
 	return db.maintain(1)

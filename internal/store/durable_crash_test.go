@@ -28,7 +28,22 @@ import (
 // copyTree copies a directory recursively (the crash image).
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+	if err := copyTreeErr(src, dst); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyTreeErr is copyTree for callers that must not call t.Fatal, such as
+// a crash hook running on a sweep goroutine. The tree may change while
+// it is copied: a file unlinked between the directory listing and its
+// open is absent from the image, as a crash just after the unlink would
+// leave it. Every other write that can race the copy is tmp+rename, so a
+// vanished file is otherwise a temporary that recovery ignores.
+func copyTreeErr(src, dst string) error {
+	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -41,6 +56,9 @@ func copyTree(t *testing.T, src, dst string) {
 			return os.MkdirAll(target, 0o755)
 		}
 		in, err := os.Open(path)
+		if os.IsNotExist(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -53,9 +71,6 @@ func copyTree(t *testing.T, src, dst string) {
 		_, err = io.Copy(out, in)
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func crashCfg(dir string) Config {

@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -368,5 +371,60 @@ func TestDirtySegTracksMinimum(t *testing.T) {
 	}
 	if p.dirtySeg != 5 {
 		t.Fatalf("dirtySeg = %d after newer-segment put, want 5", p.dirtySeg)
+	}
+}
+
+// TestCompactFlushFailureCounts pins that an explicit Compact whose flush
+// fails counts as a failed maintenance pass, as a failed merge or sweep
+// does, and that the unflushed rows survive to the next Compact.
+func TestCompactFlushFailureCounts(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for i := int64(0); i < 10; i++ { // below FlushThreshold: memtable only
+		rows = append(rows, durableRow(i))
+	}
+	if err := db.PutBatch("events", "p", rows, All); err != nil {
+		t.Fatal(err)
+	}
+	// A regular file in place of one replica's segment directory makes
+	// its memtable flush fail.
+	node := db.Ring().Replicas("p")[0]
+	segDir := filepath.Join(dir, "node-"+node, "seg")
+	if err := os.Rename(segDir, segDir+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := db.StorageStats().MaintenanceErrors
+	if _, err := db.Compact(); err == nil || !strings.Contains(err.Error(), "node "+node) {
+		t.Fatalf("Compact with a failing flush: err = %v, want one naming node %s", err, node)
+	}
+	if got := db.StorageStats().MaintenanceErrors; got != before+1 {
+		t.Fatalf("MaintenanceErrors = %d after a failed flush, want %d", got, before+1)
+	}
+	if err := os.Remove(segDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(segDir+".moved", segDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Compact(); err != nil {
+		t.Fatalf("Compact after the directory is restored: %v", err)
+	}
+	if got := db.StorageStats().MaintenanceErrors; got != before+1 {
+		t.Fatalf("MaintenanceErrors = %d after a clean Compact, want %d", got, before+1)
+	}
+	got, err := db.Get("events", "p", Range{}, All)
+	if err != nil || len(got) != len(rows) {
+		t.Fatalf("rows after recovery from the failed flush: %d (err %v), want %d", len(got), err, len(rows))
 	}
 }

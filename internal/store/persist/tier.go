@@ -35,6 +35,9 @@ type TierSetup struct {
 //	post-upload   — object uploaded and read-back verified, manifest not yet written
 //	post-manifest — manifest entry durable, local data file still authoritative
 //	post-stub     — footer stub durable, data file not yet unlinked
+//
+// store.DB sweeps its nodes concurrently, so the hook may be called from
+// several goroutines at once (one per node); it must be safe for that.
 var TierCrashHook func(stage string, seq uint64)
 
 func tierHook(stage string, seq uint64) {
@@ -122,13 +125,20 @@ func (s *Store) reconcileTier() error {
 	return nil
 }
 
-// TierSweep uploads eligible segments to the object store and, when
-// evict is set, releases their local data files. Policy: a segment is
-// cold when a newer segment exists in its partition — the newest stays
-// resident as the partition's hot tail; force widens the sweep to every
-// eligible segment (the CLI/route trigger). Per-segment failures are
-// joined into the returned error and the sweep continues, so one bad
-// segment cannot shadow the rest of the node.
+// TierSweep uploads eligible segments to the object store and releases
+// their local data files. Policy: a segment is cold when a newer segment
+// exists in its partition — the newest stays resident as the partition's
+// hot tail; force widens the sweep to every eligible segment (the
+// CLI/route trigger).
+//
+// The sweep runs in three phases so the manifest is written once per
+// pass, not once per segment: upload and read-back verify every
+// candidate, record all the new uploads with one durable manifest write,
+// then stub and unlink each segment. Every segment still goes verified
+// object → durable entry → stub → unlink. Per-segment failures are joined
+// into the returned error and the sweep continues, so one bad segment
+// cannot shadow the rest of the node; a failed manifest write evicts
+// nothing, and the next pass re-uploads to the same deterministic keys.
 func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted int, err error) {
 	if s.tier == nil {
 		return 0, 0, nil
@@ -144,7 +154,12 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 		}
 	}
 	s.mu.Unlock()
-	var errs []error
+	var (
+		errs    []error
+		held    []*Segment // acquired locally until evicted or released
+		fresh   []*Segment // uploaded by this pass, not yet recorded
+		entries []objstore.ManifestEntry
+	)
 	for _, seg := range cands {
 		if !seg.CanTier() || seg.Tiered() {
 			continue
@@ -158,13 +173,30 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 			continue
 		}
 		if !seg.Uploaded() {
-			if uerr := s.uploadSegment(ctx, seg); uerr != nil {
+			e, uerr := s.uploadSegment(ctx, seg)
+			if uerr != nil {
 				seg.release(true)
 				errs = append(errs, uerr)
 				continue
 			}
-			uploaded++
+			fresh = append(fresh, seg)
+			entries = append(entries, e)
 		}
+		held = append(held, seg)
+	}
+	if err := s.manifest.Put(entries...); err != nil {
+		for _, seg := range held {
+			seg.release(true)
+		}
+		errs = append(errs, fmt.Errorf("persist: record %d uploads in %s: %w", len(entries), s.manifest.Path(), err))
+		return 0, 0, errors.Join(errs...)
+	}
+	for i, seg := range fresh {
+		tierHook("post-manifest", seg.Seq())
+		seg.SetTier(s.tier, entries[i].Key)
+	}
+	uploaded = len(fresh)
+	for _, seg := range held {
 		everr := seg.EvictLocal()
 		seg.release(true)
 		if everr != nil {
@@ -178,30 +210,25 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 }
 
 // uploadSegment streams seg to the object store, verifies the object by
-// read-back, and durably records it in the manifest — in that order, so
-// the manifest can never reference a half-uploaded object.
-func (s *Store) uploadSegment(ctx context.Context, seg *Segment) error {
+// full read-back, and returns the manifest entry that records it. The
+// caller makes the entry durable before evicting, so the manifest can
+// never reference a half-uploaded object.
+func (s *Store) uploadSegment(ctx context.Context, seg *Segment) (objstore.ManifestEntry, error) {
 	key := s.tierObjKey(seg.Seq())
 	tierHook("pre-upload", seg.Seq())
 	if err := s.tier.UploadAndVerify(ctx, key, seg.f, seg.size); err != nil {
-		return fmt.Errorf("persist: upload %s: %w", seg.path, err)
+		return objstore.ManifestEntry{}, fmt.Errorf("persist: upload %s: %w", seg.path, err)
 	}
 	tierHook("post-upload", seg.Seq())
 	root, ok := seg.MerkleRoot()
 	if !ok {
-		return fmt.Errorf("persist: %s: no merkle tree to record", seg.path)
+		return objstore.ManifestEntry{}, fmt.Errorf("persist: %s: no merkle tree to record", seg.path)
 	}
-	e := objstore.ManifestEntry{
+	return objstore.ManifestEntry{
 		Seq: seg.Seq(), Key: key, Size: seg.size, DataLen: seg.meta.DataLen,
 		Rows: int64(seg.Rows()), Table: seg.Table(), Partition: seg.Partition(),
 		Root: root,
-	}
-	if err := s.manifest.Put(e); err != nil {
-		return fmt.Errorf("persist: record upload of %s: %w", seg.path, err)
-	}
-	tierHook("post-manifest", seg.Seq())
-	seg.SetTier(s.tier, key)
-	return nil
+	}, nil
 }
 
 // dropTiered removes a retired segment's object-store presence: manifest

@@ -167,6 +167,61 @@ func TestTieredReopen(t *testing.T) {
 	}
 }
 
+// TestTierSweepManifestFailureEvictsNothing fails the sweep's one
+// manifest write (a directory squats on the manifest's temp path): every
+// segment stays resident and readable with no manifest entry, and the
+// next sweep re-uploads to the same keys and evicts them all.
+func TestTierSweepManifestFailureEvictsNothing(t *testing.T) {
+	dir, objDir := t.TempDir(), t.TempDir()
+	tier := newTestTier(t, objDir)
+	s := openTiered(t, dir, tier)
+	defer s.Close()
+	rows := testRows(100, 1)
+	for _, pkey := range []string{"pa", "pb", "pc"} {
+		if err := s.Flush("events", pkey, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	squat := filepath.Join(dir, tierManifestName+".tmp")
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	up, ev, err := s.TierSweep(context.Background(), true)
+	if err == nil || up != 0 || ev != 0 {
+		t.Fatalf("sweep with a failing manifest write: uploaded=%d evicted=%d err=%v", up, ev, err)
+	}
+	if s.manifest.Len() != 0 {
+		t.Fatalf("failed batch left %d manifest entries", s.manifest.Len())
+	}
+	for _, pkey := range []string{"pa", "pb", "pc"} {
+		for _, seg := range s.Segments("events", pkey) {
+			if seg.Tiered() || seg.Uploaded() {
+				t.Fatalf("%s: segment %d evicted or recorded after a failed manifest write", pkey, seg.Seq())
+			}
+		}
+		if !sameRows(scanAll(t, s, "events", pkey), rows) {
+			t.Fatalf("%s: rows changed after a failed manifest write", pkey)
+		}
+	}
+
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	up, ev, err = s.TierSweep(context.Background(), true)
+	if err != nil || up != 3 || ev != 3 {
+		t.Fatalf("sweep after the manifest path is freed: uploaded=%d evicted=%d err=%v", up, ev, err)
+	}
+	keys, err := tier.Store().List(context.Background(), "n1/")
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("objects after re-upload: %v (err %v), want the same 3 keys", keys, err)
+	}
+	for _, pkey := range []string{"pa", "pb", "pc"} {
+		if !sameRows(scanAll(t, s, "events", pkey), rows) {
+			t.Fatalf("%s: rows changed after eviction", pkey)
+		}
+	}
+}
+
 func TestOpenStoreWithoutTierFails(t *testing.T) {
 	dir := t.TempDir()
 	tier := newTestTier(t, t.TempDir())

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"hpclog/internal/objstore"
@@ -116,18 +118,33 @@ func TestTieredCrashRecovery(t *testing.T) {
 	}
 
 	// Capture one crash image per pipeline stage, mid-sweep: both the data
-	// directory (WAL, segments, stubs, manifest) and the object root.
+	// directory (WAL, segments, stubs, manifest) and the object root. The
+	// sweep runs one goroutine per node, so the hook fires concurrently:
+	// the mutex serializes captures and stops every node at its next
+	// stage boundary while an image is cut, so each stage is captured
+	// once and every image holds, per node, a state a crash could leave.
 	type image struct{ stage, data, tier string }
-	var images []image
+	var (
+		mu     sync.Mutex
+		images []image
+	)
 	persist.TierCrashHook = func(stage string, seq uint64) {
+		mu.Lock()
+		defer mu.Unlock()
 		for _, img := range images {
 			if img.stage == stage {
 				return
 			}
 		}
 		d, o := t.TempDir(), t.TempDir()
-		copyTree(t, dir, d)
-		copyTree(t, tierDir, o)
+		if err := copyTreeErr(dir, d); err != nil {
+			t.Errorf("%s image of %s: %v", stage, dir, err)
+			return
+		}
+		if err := copyTreeErr(tierDir, o); err != nil {
+			t.Errorf("%s image of %s: %v", stage, tierDir, err)
+			return
+		}
 		images = append(images, image{stage, d, o})
 	}
 	defer func() { persist.TierCrashHook = nil }()
@@ -190,5 +207,121 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 				t.Fatalf("%s: object %s is %d bytes, manifest says %d", mp, e.Key, fi.Size(), e.Size)
 			}
 		}
+	}
+}
+
+// TestTierSweepPartialFailure blocks one node's object prefix with a
+// regular file, so that node can neither upload nor reach its objects,
+// and runs a sweep and a compaction over every node at once. The other
+// nodes must finish their work, the joined error must name only the
+// blocked node, each failed pass must count one maintenance error, no
+// row may be lost, and once the blocker goes a sweep must converge.
+func TestTierSweepPartialFailure(t *testing.T) {
+	dir, tierDir := t.TempDir(), t.TempDir()
+	cfg := tieredCrashCfg(dir, tierDir)
+	cfg.Nodes = 3
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	put := func(base int) {
+		for p := 0; p < 6; p++ {
+			var rows []Row
+			for i := 0; i < 30; i++ {
+				rows = append(rows, Row{
+					Key:     EncodeTS(int64(base+p*100+i)) + ":src",
+					Columns: map[string]string{"part": fmt.Sprint(p)},
+				})
+			}
+			if err := db.PutBatch("events", fmt.Sprintf("part-%d", p), rows, All); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Every node holds an evicted generation and a newer resident one.
+	put(5000)
+	if _, _, err := db.TierSweep(true); err != nil {
+		t.Fatal(err)
+	}
+	put(9000)
+	want := readAll(t, db, "events")
+
+	blocked := db.Ring().Replicas("part-0")[0]
+	prefix := filepath.Join(tierDir, "node-"+blocked)
+	if err := os.Rename(prefix, prefix+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prefix, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkErr := func(pass string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "store: node "+blocked+":") {
+			t.Fatalf("%s: err = %v, want one naming node %s", pass, err, blocked)
+		}
+		for _, id := range db.NodeIDs() {
+			if id != blocked && strings.Contains(err.Error(), "store: node "+id+":") {
+				t.Fatalf("%s: error names healthy node %s: %v", pass, id, err)
+			}
+		}
+	}
+	maintErrs := db.StorageStats().MaintenanceErrors
+
+	_, _, err = db.TierSweep(true)
+	checkErr("sweep", err)
+	if got := db.StorageStats().MaintenanceErrors; got != maintErrs+1 {
+		t.Fatalf("MaintenanceErrors = %d after the failed sweep, want %d", got, maintErrs+1)
+	}
+	for _, l := range db.SegmentInfos() {
+		resident := 0
+		for _, seg := range l.Segments {
+			if seg.Tier != "evicted" {
+				resident++
+			}
+		}
+		switch {
+		case l.Node != blocked && (len(l.Segments) == 0 || resident != 0):
+			t.Fatalf("node %s: %d of %d segments not evicted", l.Node, resident, len(l.Segments))
+		case l.Node == blocked && resident == 0:
+			t.Fatalf("blocked node %s evicted its newest segments", l.Node)
+		}
+	}
+	// Every partition the blocked node replicates still reads back, its
+	// unreachable objects substituted by the other replica.
+	for _, pkey := range db.Node(blocked).PartitionKeys("events") {
+		got, err := db.Get("events", pkey, Range{}, One)
+		if err != nil || !reflect.DeepEqual(got, want[pkey]) {
+			t.Fatalf("partition %s of the blocked node: %d rows (err %v), want %d", pkey, len(got), err, len(want[pkey]))
+		}
+	}
+
+	compacted, err := db.Compact()
+	checkErr("compact", err)
+	if compacted == 0 {
+		t.Fatal("the healthy nodes compacted nothing")
+	}
+	if got := db.StorageStats().MaintenanceErrors; got != maintErrs+2 {
+		t.Fatalf("MaintenanceErrors = %d after the failed compaction, want %d", got, maintErrs+2)
+	}
+
+	if err := os.Remove(prefix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(prefix+".moved", prefix); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.TierSweep(true); err != nil {
+		t.Fatalf("sweep after the blocker is removed: %v", err)
+	}
+	if st := db.StorageStats(); st.DiskSegments == 0 || st.TieredSegments != st.DiskSegments {
+		t.Fatalf("did not converge: %d of %d segments evicted", st.TieredSegments, st.DiskSegments)
+	}
+	verifyTierManifests(t, dir, tierDir)
+	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
+		t.Fatal("rows changed across the partial failure")
 	}
 }
