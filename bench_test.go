@@ -470,8 +470,7 @@ func BenchmarkE8_WordCount(b *testing.B) {
 	var docCount int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		docs := analytics.RawMessages(f.eng, f.db, model.Lustre, from, to)
-		counts, err := analytics.WordCount(docs)
+		counts, err := analytics.WordCountScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,8 +489,7 @@ func BenchmarkE8_TFIDF(b *testing.B) {
 	from, to := storm.Start, storm.Start.Add(storm.Duration)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		docs := analytics.RawMessages(f.eng, f.db, model.Lustre, from, to)
-		scores, err := analytics.TFIDF(docs)
+		scores, err := analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

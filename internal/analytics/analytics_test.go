@@ -399,8 +399,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 	// OST as a dominant token.
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	docs := RawMessages(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration))
-	counts, err := WordCount(docs)
+	counts, err := WordCountScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +419,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	docs := RawMessages(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration))
-	scores, err := TFIDF(docs)
+	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +439,12 @@ func TestTFIDFRanksCulpritHigh(t *testing.T) {
 }
 
 func TestTokenize(t *testing.T) {
-	toks := Tokenize("LustreError: 11-0: atlas2-OST0012-osc failed with -110")
+	tokenize := func(text string) []string {
+		var toks []string
+		EachToken(text, func(tok string) { toks = append(toks, tok) })
+		return toks
+	}
+	toks := tokenize("LustreError: 11-0: atlas2-OST0012-osc failed with -110")
 	want := map[string]bool{"lustreerror": true, "ost0012": true, "110": true, "atlas2": true}
 	got := map[string]bool{}
 	for _, tk := range toks {
@@ -455,15 +458,15 @@ func TestTokenize(t *testing.T) {
 	if got["failed"] || got["with"] || got["a"] {
 		t.Errorf("stopwords not removed: %v", toks)
 	}
-	if len(Tokenize("")) != 0 {
+	if len(tokenize("")) != 0 {
 		t.Error("empty text should yield no tokens")
 	}
 }
 
 func TestTFIDFEmptyCorpus(t *testing.T) {
 	f := getFixture(t)
-	docs := compute.Parallelize[string](f.eng, nil, 1)
-	scores, err := TFIDF(docs)
+	_, to := f.window()
+	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +515,11 @@ func TestEventsBySourceMatchesByType(t *testing.T) {
 	if source == "" {
 		t.Skip("no MCE events")
 	}
-	bySource, err := EventsBySource(f.eng, f.db, source, from, to).Collect()
+	bySource, err := CollectEvents(f.eng, f.db, EventQuery{Source: source, From: from, To: to}, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byType, err := EventsAllTypes(f.eng, f.db, from, to).Collect()
+	byType, err := CollectEvents(f.eng, f.db, EventQuery{From: from, To: to}, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

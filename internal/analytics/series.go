@@ -21,11 +21,7 @@ type Series struct {
 
 // BuildSeries bins occurrences of one type over [from, to).
 func BuildSeries(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration) (*Series, error) {
-	hist, err := Histogram(eng, db, typ, from, to, bin)
-	if err != nil {
-		return nil, err
-	}
-	return &Series{Type: typ, From: from, Bin: bin, Counts: hist}, nil
+	return BuildSeriesScan(eng, db, typ, from, to, bin, ScanConfig{})
 }
 
 // Binary reduces the series to presence indicators (count > 0), the
@@ -221,22 +217,5 @@ func TransferEntropySeries(eng *compute.Engine, db *store.DB, a, b model.EventTy
 // selected time interval, which can provide a causal relationship between
 // the two" (Section III-C).
 func TransferEntropyBetween(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration) (TEResult, error) {
-	sa, err := BuildSeries(eng, db, a, from, to, bin)
-	if err != nil {
-		return TEResult{}, err
-	}
-	sb, err := BuildSeries(eng, db, b, from, to, bin)
-	if err != nil {
-		return TEResult{}, err
-	}
-	x, y := sa.Binary(), sb.Binary()
-	xy, err := TransferEntropy(x, y)
-	if err != nil {
-		return TEResult{}, err
-	}
-	yx, err := TransferEntropy(y, x)
-	if err != nil {
-		return TEResult{}, err
-	}
-	return TEResult{XToY: xy, YToX: yx}, nil
+	return TransferEntropyBetweenScan(eng, db, a, b, from, to, bin, ScanConfig{})
 }

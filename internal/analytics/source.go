@@ -6,119 +6,17 @@
 // that surface the culprit component in a system-wide event (Fig
 // 7-bottom).
 //
-// All heavy computations are expressed as jobs on the compute engine, with
-// each store partition read by a task placed on the co-located worker.
+// All heavy computations run as scan tasks on the compute engine: folds
+// over partition slices for the aggregations (stream.go), and one ordered
+// event scan for every read that returns events (events.go).
 package analytics
 
 import (
 	"time"
 
-	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
 )
-
-// estRowBytes is a rough per-row size estimate used for locality pricing.
-const estRowBytes = 160
-
-// EventsByType builds a dataset of all events of one type within
-// [from, to), one partition per hour bucket, each preferring its primary
-// storage node.
-func EventsByType(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], len(hours))
-	for i, hour := range hours {
-		pkey := model.EventByTimeKey(hour, typ)
-		parts[i] = compute.Partition[model.Event]{
-			Index:     i,
-			Preferred: db.PrimaryFor(pkey),
-			SizeHint:  estRowBytes * 256,
-			Compute: func() ([]model.Event, error) {
-				rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-				if err != nil {
-					return nil, err
-				}
-				events := make([]model.Event, 0, len(rows))
-				for _, r := range rows {
-					e, err := model.EventFromTimeRow(pkey, r)
-					if err != nil {
-						return nil, err
-					}
-					events = append(events, e)
-				}
-				return events, nil
-			},
-		}
-	}
-	return compute.FromPartitions(eng, parts)
-}
-
-// EventsBySource builds a dataset of all events reported by one component
-// within [from, to), using the event_by_location table.
-func EventsBySource(eng *compute.Engine, db *store.DB, source string, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], len(hours))
-	for i, hour := range hours {
-		pkey := model.EventByLocKey(hour, source)
-		parts[i] = compute.Partition[model.Event]{
-			Index:     i,
-			Preferred: db.PrimaryFor(pkey),
-			SizeHint:  estRowBytes * 64,
-			Compute: func() ([]model.Event, error) {
-				rows, err := db.Get(model.TableEventByLoc, pkey, rg, store.One)
-				if err != nil {
-					return nil, err
-				}
-				events := make([]model.Event, 0, len(rows))
-				for _, r := range rows {
-					e, err := model.EventFromLocRow(pkey, r)
-					if err != nil {
-						return nil, err
-					}
-					events = append(events, e)
-				}
-				return events, nil
-			},
-		}
-	}
-	return compute.FromPartitions(eng, parts)
-}
-
-// EventsAllTypes builds a dataset over every event type within [from, to),
-// one partition per (hour, type) pair.
-func EventsAllTypes(eng *compute.Engine, db *store.DB, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], 0, len(hours)*len(model.EventTypes))
-	for _, hour := range hours {
-		for _, typ := range model.EventTypes {
-			pkey := model.EventByTimeKey(hour, typ)
-			parts = append(parts, compute.Partition[model.Event]{
-				Index:     len(parts),
-				Preferred: db.PrimaryFor(pkey),
-				SizeHint:  estRowBytes * 256,
-				Compute: func() ([]model.Event, error) {
-					rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-					if err != nil {
-						return nil, err
-					}
-					events := make([]model.Event, 0, len(rows))
-					for _, r := range rows {
-						e, err := model.EventFromTimeRow(pkey, r)
-						if err != nil {
-							return nil, err
-						}
-						events = append(events, e)
-					}
-					return events, nil
-				},
-			})
-		}
-	}
-	return compute.FromPartitions(eng, parts)
-}
 
 // RunsIn returns all application runs that overlap [from, to), scanning
 // the application_by_time partitions for the window plus a lookback for

@@ -13,23 +13,23 @@ import (
 	"hpclog/internal/topology"
 )
 
-// This file is the streaming execution path for the big-data operations:
-// instead of materializing Datasets, events are scanned per ring partition
-// (further split into clustering-key time slices for parallelism beyond
-// the hour-partition count) through store.RowIter, fanned out on the
-// compute scan planner, and folded into small per-task accumulators that
-// are merged in task order. Results are identical to the Dataset path —
-// the engine-test corpus and TestScanParallelMatchesSerial enforce it —
-// but memory stays proportional to aggregation state and throughput
-// scales with GOMAXPROCS.
+// This file is the streaming execution path for the big-data
+// aggregations: events are scanned per ring partition (further split into
+// clustering-key time slices for parallelism beyond the hour-partition
+// count) through store.RowIter, fanned out on the compute scan planner,
+// and folded into small per-task accumulators that are merged in task
+// order, so memory stays proportional to aggregation state and
+// throughput scales with GOMAXPROCS. Reads that return events rather
+// than fold them go through ScanEvents (events.go).
 
 // ScanConfig parameterizes the streaming scan path.
 type ScanConfig struct {
 	// Parallelism bounds concurrent scan tasks; <= 0 means GOMAXPROCS.
 	Parallelism int
 	// Slice is the clustering-key time-slice width used to split one hour
-	// partition into multiple scan tasks; <= 0 means 15 minutes. Slicing
-	// never changes results, only the available parallelism.
+	// partition into multiple fold tasks; <= 0 means 15 minutes. Slicing
+	// never changes results, only the available parallelism. ScanEvents
+	// runs one task per hour and ignores it.
 	Slice time.Duration
 }
 
@@ -63,12 +63,6 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 	return out
 }
 
-// partSlice is one scan unit: a partition key plus a clustering range.
-type partSlice struct {
-	pkey string
-	rg   store.Range
-}
-
 // hourWindow clips [from, to) to hour bucket h.
 func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
 	lo, hi := time.Unix(h*3600, 0).UTC(), time.Unix((h+1)*3600, 0).UTC()
@@ -81,86 +75,47 @@ func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
 	return lo, hi
 }
 
-// eventScanTasks builds the per-(partition, slice) scan tasks for a window
-// of one event table. keyFor maps an hour bucket to the partition key(s)
-// to scan in that hour; decode turns a stored row back into an event.
-func eventScanTasks(db *store.DB, table string, from, to time.Time, slice time.Duration,
-	keysFor func(hour int64) []string, decode func(pkey string, r store.Row) (model.Event, error)) []compute.ScanTask[model.Event] {
+// typeScanTasks plans the fold tasks over one event type's
+// event_by_time partitions in [from, to): one task per (hour, slice).
+// Rows decode attrs-free: the folds only touch time/source/count/raw, so
+// decoding skips the per-event Attrs map entirely. Folds need no order,
+// so unlike ScanEvents these tasks never merge partitions.
+func typeScanTasks(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
 	var tasks []compute.ScanTask[model.Event]
 	for _, hour := range model.HoursIn(from, to) {
 		lo, hi := hourWindow(hour, from, to)
 		if !hi.After(lo) {
 			continue
 		}
-		for _, pkey := range keysFor(hour) {
-			for _, b := range sliceBounds(lo, hi, slice) {
-				ps := partSlice{pkey: pkey, rg: model.EventTimeRange(b[0], b[1])}
-				tasks = append(tasks, compute.ScanTask[model.Event]{
-					Index: len(tasks),
-					Run: func(yield func(model.Event) error) error {
-						it, err := db.ScanPartition(table, ps.pkey, ps.rg, store.One)
+		pkey := model.EventByTimeKey(hour, typ)
+		for _, b := range sliceBounds(lo, hi, slice) {
+			rg := model.EventTimeRange(b[0], b[1])
+			tasks = append(tasks, compute.ScanTask[model.Event]{
+				Index: len(tasks),
+				Run: func(yield func(model.Event) error) error {
+					it, err := db.ScanPartition(model.TableEventByTime, pkey, rg, store.One)
+					if err != nil {
+						return err
+					}
+					defer it.Close()
+					for {
+						r, ok := it.Next()
+						if !ok {
+							return it.Err()
+						}
+						e, err := model.EventFromTimeRowLite(pkey, r)
 						if err != nil {
 							return err
 						}
-						defer it.Close()
-						for {
-							r, ok := it.Next()
-							if !ok {
-								break
-							}
-							e, err := decode(ps.pkey, r)
-							if err != nil {
-								return err
-							}
-							if err := yield(e); err != nil {
-								return err
-							}
+						if err := yield(e); err != nil {
+							return err
 						}
-						return it.Err()
-					},
-				})
-			}
+					}
+				},
+			})
 		}
 	}
 	return tasks
-}
-
-// typeScanTasks plans a scan of one event type over event_by_time.
-func typeScanTasks(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-		model.EventFromTimeRow)
-}
-
-// typeScanTasksLite is typeScanTasks with the attrs-free event decode: the
-// fold-based aggregations only touch time/source/count/raw, so decoding
-// skips the per-event Attrs map entirely. Collection scans that return
-// full events to callers keep the full decode.
-func typeScanTasksLite(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-		model.EventFromTimeRowLite)
-}
-
-// sourceScanTasks plans a scan of one component over event_by_location.
-func sourceScanTasks(db *store.DB, source string, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByLoc, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByLocKey(hour, source)} },
-		model.EventFromLocRow)
-}
-
-// allTypesScanTasks plans a scan of every event type over event_by_time,
-// hour-major and type-minor like EventsAllTypes.
-func allTypesScanTasks(db *store.DB, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string {
-			keys := make([]string, len(model.EventTypes))
-			for i, typ := range model.EventTypes {
-				keys[i] = model.EventByTimeKey(hour, typ)
-			}
-			return keys
-		},
-		model.EventFromTimeRow)
 }
 
 // foldEvents runs tasks through ScanReduce with a map-free generic fold.
@@ -178,41 +133,11 @@ func mergeCountMaps[K comparable](a, b map[K]int) map[K]int {
 	return a
 }
 
-// collectEvents streams tasks in order and appends into one slice.
-func collectEvents(eng *compute.Engine, cfg ScanConfig, tasks []compute.ScanTask[model.Event]) ([]model.Event, error) {
-	var out []model.Event
-	err := compute.StreamScan(eng, cfg.opts(), tasks, func(_ int, batch []model.Event) error {
-		out = append(out, batch...)
-		return nil
-	})
-	return out, err
-}
-
-// --- Streaming event collections ---
-
-// EventsByTypeScan returns all events of one type in [from, to) via the
-// partition-parallel streaming path, in partition-then-clustering order.
-func EventsByTypeScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()))
-}
-
-// EventsBySourceScan returns all events reported by one component in
-// [from, to) via the streaming path.
-func EventsBySourceScan(eng *compute.Engine, db *store.DB, source string, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, sourceScanTasks(db, source, from, to, cfg.slice()))
-}
-
-// EventsAllTypesScan returns all events of every type in [from, to) via
-// the streaming path.
-func EventsAllTypesScan(eng *compute.Engine, db *store.DB, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, allTypesScanTasks(db, from, to, cfg.slice()))
-}
-
 // --- Streaming aggregations ---
 
 // HeatmapScan computes the cabinet heat map on the streaming scan path.
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	counts, err := foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		newCountMap[int],
 		func(acc map[int]int, e model.Event) map[int]int {
 			loc, err := topology.ParseCName(e.Source)
@@ -245,7 +170,7 @@ func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, t
 // DistributionByScan computes occurrence distributions at a topology level
 // on the streaming scan path.
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	counts, err := foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		newCountMap[string],
 		func(acc map[string]int, e model.Event) map[string]int {
 			loc, err := topology.ParseCName(e.Source)
@@ -283,7 +208,7 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 			byNode[n] = append(byNode[n], span{r.Start, r.End, r.App})
 		}
 	}
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	counts, err := foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		newCountMap[string],
 		func(acc map[string]int, e model.Event) map[string]int {
 			for _, s := range byNode[e.Source] {
@@ -305,7 +230,7 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 // EventSitesScan lists reporting nodes for one type and instant on the
 // streaming scan path.
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, at, at.Add(time.Second), cfg.slice()),
+	return foldEvents(eng, cfg, typeScanTasks(db, typ, at, at.Add(time.Second), cfg.slice()),
 		newCountMap[string],
 		func(acc map[string]int, e model.Event) map[string]int {
 			// e.Source may be a zero-copy substring of a segment block; the
@@ -335,7 +260,7 @@ func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 	if nbins < 1 {
 		return nil, fmt.Errorf("analytics: window %v shorter than bin %v", to.Sub(from), bin)
 	}
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	return foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		func() []int { return make([]int, nbins) },
 		func(acc []int, e model.Event) []int {
 			b := int(e.Time.Sub(from) / bin)
@@ -387,11 +312,12 @@ func TransferEntropyBetweenScan(eng *compute.Engine, db *store.DB, a, b model.Ev
 	return TEResult{XToY: xy, YToX: yx}, nil
 }
 
-// WordCountScan runs the word count over raw messages of one type on the
-// streaming scan path. Events without raw text are skipped, matching
-// RawMessages + WordCount.
+// WordCountScan runs the classic word count over raw messages of one type
+// on the streaming scan path — "a simple word counts, which is rapidly
+// executed by Spark, can locate the source of the problem". Each stored
+// message is one document; events without raw text are skipped.
 func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	return foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		newCountMap[string],
 		func(acc map[string]int, e model.Event) map[string]int {
 			if e.Raw == "" {
@@ -421,11 +347,15 @@ type tfidfAcc struct {
 }
 
 // TFIDFScan computes aggregate TF-IDF weights over raw messages of one
-// type on the streaming scan path. Document frequency is counted once per
-// document, so the result is independent of how the scan is partitioned
-// and matches RawMessages + TFIDF exactly.
+// type on the streaming scan path. Each message is a document; term
+// frequency is summed across documents and weighted by inverse document
+// frequency, so boilerplate shared by every message scores near zero
+// while discriminating identifiers (an unresponsive OST, an error code)
+// float to the top. Document frequency is counted once per document, so
+// the result is independent of how the scan is partitioned. Results are
+// sorted by descending score.
 func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]TermScore, error) {
-	acc, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	acc, err := foldEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()),
 		func() *tfidfAcc {
 			return &tfidfAcc{tf: make(map[string]int), df: make(map[string]int), seen: make(map[string]bool)}
 		},

@@ -251,12 +251,12 @@ func (f *Framework) TransferEntropy(a, b model.EventType, from, to time.Time, bi
 // WordCount runs the distributed word count over raw messages of a type
 // within the window (Fig 7-bottom).
 func (f *Framework) WordCount(typ model.EventType, from, to time.Time) (map[string]int, error) {
-	return analytics.WordCount(analytics.RawMessages(f.Compute, f.DB, typ, from, to))
+	return analytics.WordCountScan(f.Compute, f.DB, typ, from, to, analytics.ScanConfig{})
 }
 
 // TFIDF scores terms of raw messages of a type within the window.
 func (f *Framework) TFIDF(typ model.EventType, from, to time.Time) ([]analytics.TermScore, error) {
-	return analytics.TFIDF(analytics.RawMessages(f.Compute, f.DB, typ, from, to))
+	return analytics.TFIDFScan(f.Compute, f.DB, typ, from, to, analytics.ScanConfig{})
 }
 
 // Placement reports application placement at an instant (Fig 6-bottom).
@@ -269,14 +269,15 @@ func (f *Framework) EventSites(typ model.EventType, at time.Time) (map[string]in
 	return analytics.EventSites(f.Compute, f.DB, typ, at)
 }
 
-// Events returns decoded events of one type within [from, to).
+// Events returns decoded events of one type within [from, to), in
+// chronological order.
 func (f *Framework) Events(typ model.EventType, from, to time.Time) ([]model.Event, error) {
-	events, err := analytics.EventsByType(f.Compute, f.DB, typ, from, to).Collect()
-	if err != nil {
-		return nil, err
-	}
-	model.SortEvents(events)
-	return events, nil
+	return analytics.EventsByTypeScan(f.Compute, f.DB, typ, from, to, analytics.ScanConfig{})
+}
+
+// allEvents collects every event of every type within [from, to).
+func (f *Framework) allEvents(from, to time.Time) ([]model.Event, error) {
+	return analytics.CollectEvents(f.Compute, f.DB, analytics.EventQuery{From: from, To: to}, analytics.ScanConfig{})
 }
 
 // Runs returns application runs overlapping [from, to).
@@ -289,7 +290,7 @@ func (f *Framework) Runs(from, to time.Time) ([]model.AppRun, error) {
 // MineRules mines association rules between event types over [from, to)
 // with the given co-occurrence window.
 func (f *Framework) MineRules(from, to time.Time, window time.Duration, minSupport, minConfidence float64) ([]mining.Rule, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +300,7 @@ func (f *Framework) MineRules(from, to time.Time, window time.Duration, minSuppo
 // MineSequences mines A-followed-by-B patterns over [from, to),
 // restricted to same-component pairs (the error propagation view).
 func (f *Framework) MineSequences(from, to time.Time, delta time.Duration, minCount int) ([]mining.SeqPattern, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +309,7 @@ func (f *Framework) MineSequences(from, to time.Time, delta time.Duration, minCo
 
 // Episodes coalesces one event type's occurrences into episodes.
 func (f *Framework) Episodes(typ model.EventType, from, to time.Time, window time.Duration, perSource bool) ([]mining.Episode, error) {
-	events, err := analytics.EventsByType(f.Compute, f.DB, typ, from, to).Collect()
+	events, err := f.Events(typ, from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +319,7 @@ func (f *Framework) Episodes(typ model.EventType, from, to time.Time, window tim
 // DetectComposite scans [from, to) for a registered composite event
 // definition and returns the synthesized composite events.
 func (f *Framework) DetectComposite(def mining.CompositeDef, from, to time.Time) ([]model.Event, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +328,7 @@ func (f *Framework) DetectComposite(def mining.CompositeDef, from, to time.Time)
 
 // Profiles builds per-application event profiles over [from, to).
 func (f *Framework) Profiles(from, to time.Time) (map[string]*profile.Profile, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +341,7 @@ func (f *Framework) Profiles(from, to time.Time) (map[string]*profile.Profile, e
 
 // Reliability computes failure interarrival statistics over [from, to).
 func (f *Framework) Reliability(from, to time.Time) (analytics.InterarrivalStats, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return analytics.InterarrivalStats{}, err
 	}
@@ -358,7 +359,7 @@ func (f *Framework) CQL(statement string) (*cql.Result, error) {
 // [from, to) (see internal/predict; the Section V "machine learning"
 // extension).
 func (f *Framework) TrainPredictor(from, to time.Time, cfg predict.Config) (*predict.Model, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := f.allEvents(from, to)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,8 @@ func assertBytesEqualOneShot(t *testing.T, oneShot json.RawMessage, records []qu
 
 // eventContexts enumerates the request shapes pagination and streaming
 // must reproduce: single-type, all-types (hour-merged across type
-// partitions), and per-source.
+// partitions), per-source, and per-source of one type (the type filter
+// applied after decode).
 func eventContexts(h *Harness) map[string]query.Context {
 	from, to := h.Window()
 	base := query.Context{From: from.Unix(), To: to.Unix()}
@@ -70,54 +71,74 @@ func eventContexts(h *Harness) map[string]query.Context {
 	byType.EventType = "MCE"
 	bySource := base
 	bySource.Source = "c2-0c0s0n1"
-	return map[string]query.Context{"by_type": byType, "all_types": base, "by_source": bySource}
+	bySourceType := bySource
+	bySourceType.EventType = "MCE"
+	return map[string]query.Context{"by_type": byType, "all_types": base, "by_source": bySource,
+		"by_source_type": bySourceType}
+}
+
+// forEachEventRequest runs fn for every request shape on two stacks: the
+// in-memory harness (subtests named by shape) and the tiered harness with
+// every sealed segment evicted to the object store (subtests under
+// "tiered/"), so paged and streamed reads are also checked on object-tier
+// iterators.
+func forEachEventRequest(t *testing.T, fn func(t *testing.T, h *Harness, label string, qc query.Context)) {
+	tiered := NewTiered(t)
+	if _, ev, err := tiered.DB.TierSweep(true); err != nil || ev == 0 {
+		t.Fatalf("force sweep: evicted=%d err=%v", ev, err)
+	}
+	for _, stack := range []struct {
+		prefix string
+		h      *Harness
+	}{{"", New(t)}, {"tiered/", tiered}} {
+		for label, qc := range eventContexts(stack.h) {
+			t.Run(stack.prefix+label, func(t *testing.T) { fn(t, stack.h, label, qc) })
+		}
+	}
 }
 
 // TestPaginatedEventsMatchOneShot: for every request shape, paginated
-// pages concatenate to exactly the one-shot result (in-memory stack).
+// pages concatenate to exactly the one-shot result.
 func TestPaginatedEventsMatchOneShot(t *testing.T) {
-	h := New(t)
-	for label, qc := range eventContexts(h) {
-		t.Run(label, func(t *testing.T) {
-			oneShot, err := h.HTTP(query.Request{Op: query.OpEvents, Context: qc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var probe []query.EventRecord
-			if err := json.Unmarshal(oneShot, &probe); err != nil {
-				t.Fatal(err)
-			}
-			n := len(probe)
-			// Page counts around 13, 3, and 1 — the page size scales with
-			// the result so the test stays O(result), not O(result^2).
-			for _, pageSize := range []int{n/13 + 1, n/3 + 1, n + 1} {
-				records := pageThrough(t, h, qc, pageSize, nil)
-				assertBytesEqualOneShot(t, oneShot, records, fmt.Sprintf("%s pageSize=%d", label, pageSize))
-			}
-		})
-	}
+	forEachEventRequest(t, func(t *testing.T, h *Harness, label string, qc query.Context) {
+		oneShot, err := h.HTTP(query.Request{Op: query.OpEvents, Context: qc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probe []query.EventRecord
+		if err := json.Unmarshal(oneShot, &probe); err != nil {
+			t.Fatal(err)
+		}
+		n := len(probe)
+		if n == 0 {
+			t.Fatal("empty one-shot result: the shape checks nothing")
+		}
+		// Page counts around 13, 3, and 1 — the page size scales with
+		// the result so the test stays O(result), not O(result^2).
+		for _, pageSize := range []int{n/13 + 1, n/3 + 1, n + 1} {
+			records := pageThrough(t, h, qc, pageSize, nil)
+			assertBytesEqualOneShot(t, oneShot, records, fmt.Sprintf("%s pageSize=%d", label, pageSize))
+		}
+	})
 }
 
 // TestStreamedEventsMatchOneShot: NDJSON lines concatenate to exactly
 // the one-shot result for every request shape.
 func TestStreamedEventsMatchOneShot(t *testing.T) {
-	h := New(t)
-	for label, qc := range eventContexts(h) {
-		t.Run(label, func(t *testing.T) {
-			oneShot, err := h.HTTP(query.Request{Op: query.OpEvents, Context: qc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			records := []query.EventRecord{}
-			if err := h.Client.StreamEvents(context.Background(), qc, func(e query.EventRecord) error {
-				records = append(records, e)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			assertBytesEqualOneShot(t, oneShot, records, label)
-		})
-	}
+	forEachEventRequest(t, func(t *testing.T, h *Harness, label string, qc query.Context) {
+		oneShot, err := h.HTTP(query.Request{Op: query.OpEvents, Context: qc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := []query.EventRecord{}
+		if err := h.Client.StreamEvents(context.Background(), qc, func(e query.EventRecord) error {
+			records = append(records, e)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		assertBytesEqualOneShot(t, oneShot, records, label)
+	})
 }
 
 // TestPaginationSurvivesCompactAndRestart is the durability acceptance:

@@ -225,7 +225,7 @@ func EventFromTimeRowLite(pkey string, r store.Row) (Event, error) {
 }
 
 func eventFromTimeRow(pkey string, r store.Row, withAttrs bool) (Event, error) {
-	typ, err := typeFromKey(pkey)
+	typ, err := TypeFromKey(pkey)
 	if err != nil {
 		return Event{}, err
 	}
@@ -309,18 +309,15 @@ func prefixedCols(r store.Row, prefix string, dst map[string]string) map[string]
 	return dst
 }
 
-func typeFromKey(pkey string) (EventType, error) {
+// TypeFromKey extracts the event type from an event_by_time partition
+// key ("<hour>:<type>").
+func TypeFromKey(pkey string) (EventType, error) {
 	_, typ, ok := strings.Cut(pkey, ":")
 	if !ok {
 		return "", fmt.Errorf("model: malformed event_by_time partition key %q", pkey)
 	}
 	return EventType(typ), nil
 }
-
-// TypeFromKey extracts the event type from an event_by_time partition
-// key ("<hour>:<type>") — the order tie-breaker of hour-merged scans in
-// the analytic server's pagination and streaming paths.
-func TypeFromKey(pkey string) (EventType, error) { return typeFromKey(pkey) }
 
 func sourceFromKey(pkey string) (string, error) {
 	_, src, ok := strings.Cut(pkey, ":")

@@ -33,13 +33,13 @@ func (q *Engine) runExtension(req Request) (any, error) {
 	}
 	switch req.Op {
 	case OpRules:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := q.allEvents(from, to)
 		if err != nil {
 			return nil, err
 		}
 		return mining.MineRules(events, req.bin(), 0.01, 0.2)
 	case OpSequences:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := q.allEvents(from, to)
 		if err != nil {
 			return nil, err
 		}
@@ -55,10 +55,11 @@ func (q *Engine) runExtension(req Request) (any, error) {
 		}
 		return mining.Coalesce(events, req.bin(), false), nil
 	case OpProfiles:
-		profiles, err := q.buildProfiles(from, to)
+		events, runs, err := q.profileInputs(from, to)
 		if err != nil {
 			return nil, err
 		}
+		profiles := profile.Build(events, runs)
 		if req.Context.EventType != "" {
 			return profile.Compare(profiles, model.EventType(req.Context.EventType)), nil
 		}
@@ -66,7 +67,7 @@ func (q *Engine) runExtension(req Request) (any, error) {
 	case OpRunReport:
 		return q.runReport(req, from, to)
 	case OpReliability:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := q.allEvents(from, to)
 		if err != nil {
 			return nil, err
 		}
@@ -89,37 +90,33 @@ func (q *Engine) runExtension(req Request) (any, error) {
 	panic("unreachable")
 }
 
-func (q *Engine) buildProfiles(from, to time.Time) (map[string]*profile.Profile, error) {
-	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+// allEvents collects every event of every type in [from, to).
+func (q *Engine) allEvents(from, to time.Time) ([]model.Event, error) {
+	return analytics.CollectEvents(q.compute, q.db, analytics.EventQuery{From: from, To: to}, q.scanCfg())
+}
+
+// profileInputs reads the events and runs of [from, to) that application
+// profiles are built from.
+func (q *Engine) profileInputs(from, to time.Time) ([]model.Event, []model.AppRun, error) {
+	events, err := q.allEvents(from, to)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	runs, err := analytics.RunsIn(q.db, from, to, 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	return profile.Build(events, runs), nil
+	return events, runs, err
 }
 
 func (q *Engine) runReport(req Request, from, to time.Time) (any, error) {
 	if req.Context.App == "" {
 		return nil, fmt.Errorf("query: run_report requires context.app (and optionally the jobid via context.user)")
 	}
-	profiles, err := q.buildProfiles(from, to)
+	events, runs, err := q.profileInputs(from, to)
 	if err != nil {
 		return nil, err
 	}
-	prof := profiles[req.Context.App]
+	prof := profile.Build(events, runs)[req.Context.App]
 	if prof == nil {
 		return nil, fmt.Errorf("query: no runs of application %q in window", req.Context.App)
-	}
-	runs, err := analytics.RunsIn(q.db, from, to, 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
-	if err != nil {
-		return nil, err
 	}
 	var reports []profile.RunReport
 	for _, r := range runs {

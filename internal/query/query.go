@@ -460,45 +460,33 @@ func mustLoc(cname string) topology.Location {
 	return l
 }
 
+// EventQuery maps the context onto the ordered event scan every events
+// read — one-shot, paged, streamed — shares.
+func (c Context) EventQuery() analytics.EventQuery {
+	from, to := c.Window()
+	return analytics.EventQuery{Source: c.Source, Type: model.EventType(c.EventType), From: from, To: to}
+}
+
+// RecordOf converts a model event into its wire record.
+func RecordOf(e model.Event) EventRecord {
+	return EventRecord{
+		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
+		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
+	}
+}
+
 func (q *Engine) events(req Request) ([]EventRecord, error) {
-	from, to, err := req.window()
-	if err != nil {
+	if _, _, err := req.window(); err != nil {
 		return nil, err
 	}
-	var events []model.Event
-	switch {
-	case req.Context.Source != "":
-		events, err = analytics.EventsBySourceScan(q.compute, q.db, req.Context.Source, from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
-		if req.Context.EventType != "" {
-			filtered := events[:0]
-			for _, e := range events {
-				if string(e.Type) == req.Context.EventType {
-					filtered = append(filtered, e)
-				}
-			}
-			events = filtered
-		}
-	case req.Context.EventType != "":
-		events, err = analytics.EventsByTypeScan(q.compute, q.db, model.EventType(req.Context.EventType), from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
-	default:
-		events, err = analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
-	}
-	model.SortEvents(events)
-	out := make([]EventRecord, len(events))
-	for i, e := range events {
-		out[i] = EventRecord{
-			Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
-			Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
-		}
+	out := []EventRecord{}
+	err := analytics.ScanEvents(q.compute, q.db, req.Context.EventQuery(), nil, q.scanCfg(),
+		func(_ analytics.EventPos, e model.Event) error {
+			out = append(out, RecordOf(e))
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -8,9 +8,9 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"sort"
-	"time"
+	"errors"
 
+	"hpclog/internal/analytics"
 	"hpclog/internal/api"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
@@ -53,171 +53,46 @@ func pageResult(items any, next string) (*api.PageResult, *api.Error) {
 
 // --- Events ---
 
-// eventSpec describes how one events-request shape maps onto store
-// partitions: which table, which partition keys per hour bucket, how a
-// row decodes, and the order tie-breaker within equal clustering keys.
-type eventSpec struct {
-	table string
-	// keysFor returns the hour's partition keys in canonical (type) order.
-	keysFor func(hour int64) []string
-	decode  func(pkey string, r store.Row) (model.Event, error)
-	// disc extracts the order tie-breaker of a partition's rows: the event
-	// type for hour-merged all-type scans, "" when the clustering key
-	// already totally orders the partition set.
-	disc func(pkey string) string
-	// filterType drops events of other types post-decode (source+type
-	// requests); "" keeps everything.
-	filterType string
-}
+// errPageFull stops an events page's scan once the page holds its limit.
+var errPageFull = errors.New("server: page full")
 
-// specFor maps a query context onto its scan shape, mirroring the
-// one-shot events dispatch in query.Engine exactly — same tables, same
-// decodes — so paginated pages concatenate to the one-shot result.
-func specFor(c query.Context) eventSpec {
-	switch {
-	case c.Source != "":
-		return eventSpec{
-			table:      model.TableEventByLoc,
-			keysFor:    func(hour int64) []string { return []string{model.EventByLocKey(hour, c.Source)} },
-			decode:     model.EventFromLocRow,
-			disc:       func(string) string { return "" },
-			filterType: c.EventType,
-		}
-	case c.EventType != "":
-		typ := model.EventType(c.EventType)
-		return eventSpec{
-			table:   model.TableEventByTime,
-			keysFor: func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-			decode:  model.EventFromTimeRow,
-			disc:    func(string) string { return "" },
-		}
-	default:
-		return eventSpec{
-			table: model.TableEventByTime,
-			keysFor: func(hour int64) []string {
-				keys := make([]string, len(model.EventTypes))
-				for i, typ := range model.EventTypes {
-					keys[i] = model.EventByTimeKey(hour, typ)
-				}
-				return keys
-			},
-			decode: model.EventFromTimeRow,
-			disc: func(pkey string) string {
-				typ, err := model.TypeFromKey(pkey)
-				if err != nil {
-					return ""
-				}
-				return string(typ)
-			},
-		}
-	}
-}
-
-// keyedEvent is one decoded event with its order key.
-type keyedEvent struct {
-	key, disc string
-	rec       query.EventRecord
-}
-
-// eventRecord converts a model event into its wire record, the same
-// mapping the one-shot path uses.
-func eventRecord(e model.Event) query.EventRecord {
-	return query.EventRecord{
-		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
-		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
-	}
-}
-
-// hourEvents reads one hour bucket of the spec, clipped to [from, to),
-// sorted by (clustering key, disc) — which equals the one-shot result
-// order (time, source, type): clustering keys are fixed-width-timestamp
-// prefixed, so byte order is time order, and the key's discriminator /
-// the partition type break ties identically to model.SortEvents.
-func (s *Server) hourEvents(spec eventSpec, hour int64, from, to time.Time) ([]keyedEvent, error) {
-	lo, hi := hourWindow(hour, from, to)
-	if !hi.After(lo) {
-		return nil, nil
-	}
-	rg := model.EventTimeRange(lo, hi)
-	var out []keyedEvent
-	for _, pkey := range spec.keysFor(hour) {
-		rows, err := s.db.Get(spec.table, pkey, rg, store.One)
-		if err != nil {
-			return nil, err
-		}
-		disc := spec.disc(pkey)
-		for _, row := range rows {
-			e, err := spec.decode(pkey, row)
-			if err != nil {
-				return nil, err
-			}
-			if spec.filterType != "" && string(e.Type) != spec.filterType {
-				continue
-			}
-			out = append(out, keyedEvent{key: row.Key, disc: disc, rec: eventRecord(e)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key != out[j].key {
-			return out[i].key < out[j].key
-		}
-		return out[i].disc < out[j].disc
-	})
-	return out, nil
-}
-
-// hourWindow clips [from, to) to hour bucket h.
-func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
-	lo, hi := time.Unix(h*3600, 0).UTC(), time.Unix((h+1)*3600, 0).UTC()
-	if from.After(lo) {
-		lo = from
-	}
-	if to.Before(hi) {
-		hi = to
-	}
-	return lo, hi
-}
-
-// eventsPage serves one page of an events request.
+// eventsPage serves one page of an events request: the ordered event
+// scan resumed after the cursor's position and stopped at the page
+// limit, so pages concatenate to exactly the one-shot result. The scan
+// runs one hour at a time: hours scanned ahead would be read for rows
+// this page never returns.
 func (s *Server) eventsPage(c query.Context, page *api.Page) (*api.PageResult, *api.Error) {
 	from, to := c.Window()
 	if !to.After(from) {
 		return nil, api.Errorf(api.CodeBadRequest, "op \"events\" requires a non-empty [from, to) window")
 	}
-	var cur api.Cursor
+	var after *analytics.EventPos
 	if page.Cursor != "" {
-		var err error
-		if cur, err = api.DecodeCursor(page.Cursor, "events"); err != nil {
+		cur, err := api.DecodeCursor(page.Cursor, "events")
+		if err != nil {
 			return nil, toAPIError(err)
 		}
+		after = &analytics.EventPos{Hour: cur.Hour, Key: cur.Key, Disc: cur.Disc}
 	}
 	limit := s.pageLimit(page)
-	spec := specFor(c)
 	items := make([]query.EventRecord, 0, limit)
 	var next string
-	for _, hour := range model.HoursIn(from, to) {
-		if page.Cursor != "" && hour < cur.Hour {
-			continue
-		}
-		evs, err := s.hourEvents(spec, hour, from, to)
-		if err != nil {
-			// Same classification as the one-shot path (toAPIError), so the
-			// identical store failure gets the identical code and SDK retry
-			// behavior whichever way the result is delivered.
-			return nil, toAPIError(err)
-		}
-		for _, ke := range evs {
-			if page.Cursor != "" && hour == cur.Hour && !cur.After(ke.key, ke.disc) {
-				continue
+	err := analytics.ScanEvents(s.eng, s.db, c.EventQuery(), after, analytics.ScanConfig{Parallelism: 1},
+		func(pos analytics.EventPos, e model.Event) error {
+			items = append(items, query.RecordOf(e))
+			if len(items) < limit {
+				return nil
 			}
-			items = append(items, ke.rec)
-			if len(items) == limit {
-				next = api.Cursor{Op: "events", Hour: hour, Key: ke.key, Disc: ke.disc}.Encode()
-				return pageResult(items, next)
-			}
-		}
+			next = api.Cursor{Op: "events", Hour: pos.Hour, Key: pos.Key, Disc: pos.Disc}.Encode()
+			return errPageFull
+		})
+	if err != nil && !errors.Is(err, errPageFull) {
+		// Same classification as the one-shot path (toAPIError), so the
+		// identical store failure gets the identical code and SDK retry
+		// behavior whichever way the result is delivered.
+		return nil, toAPIError(err)
 	}
-	return pageResult(items, "")
+	return pageResult(items, next)
 }
 
 // --- Runs ---

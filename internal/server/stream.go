@@ -1,5 +1,5 @@
 // NDJSON streaming of row-returning results. Streamed responses are fed
-// directly from the compute scan planner (compute.StreamScan), so a large
+// directly from the ordered event scan (analytics.ScanEvents), so a large
 // scan flows from storage iterators to the socket without ever
 // materializing server-side; the lines concatenate to exactly the
 // one-shot result, and a terminal api.StreamTrailer line carries the row
@@ -10,14 +10,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
+	"hpclog/internal/analytics"
 	"hpclog/internal/api"
-	"hpclog/internal/compute"
 	"hpclog/internal/cql"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
-	"hpclog/internal/store"
 )
 
 // ndjson writes one JSON document per line, deferring headers until the
@@ -170,108 +168,18 @@ func (s *Server) streamRuns(req query.Request, nd *ndjson) error {
 	return nil
 }
 
-// streamEvents streams an events result straight from the store: one
-// scan task per hour bucket, fanned out on the compute scan pool
-// (StreamScan delivers batches in hour order while later hours scan
-// ahead), each task streaming its partition iterators row by row. The
-// line order equals the one-shot result order.
+// streamEvents streams an events result straight from the ordered event
+// scan: hours are delivered in order while later hours scan ahead on the
+// compute pool, and each row is emitted as it is delivered, so the line
+// order equals the one-shot result order.
 func (s *Server) streamEvents(c query.Context, nd *ndjson) error {
 	from, to := c.Window()
 	if !to.After(from) {
 		return api.Errorf(api.CodeBadRequest, "op \"events\" requires a non-empty [from, to) window")
 	}
-	spec := specFor(c)
-	hours := model.HoursIn(from, to)
-	tasks := make([]compute.ScanTask[query.EventRecord], 0, len(hours))
-	for _, hour := range hours {
-		lo, hi := hourWindow(hour, from, to)
-		if !hi.After(lo) {
-			continue
-		}
-		tasks = append(tasks, compute.ScanTask[query.EventRecord]{
-			Index: len(tasks),
-			Run: func(yield func(query.EventRecord) error) error {
-				return s.scanHourMerged(spec, hour, lo, hi, yield)
-			},
-		})
-	}
 	par, _ := s.q.ScanTuning()
-	return compute.StreamScan(s.eng, compute.ScanOptions{Parallelism: par}, tasks,
-		func(_ int, batch []query.EventRecord) error {
-			for _, rec := range batch {
-				if err := nd.emit(rec); err != nil {
-					return err
-				}
-			}
-			return nil
+	return analytics.ScanEvents(s.eng, s.db, c.EventQuery(), nil, analytics.ScanConfig{Parallelism: par},
+		func(_ analytics.EventPos, e model.Event) error {
+			return nd.emit(query.RecordOf(e))
 		})
-}
-
-// scanHourMerged streams one hour bucket of an event spec in result
-// order: the hour's partitions (one per event type for all-type scans)
-// are read through store iterators and merged lazily on (clustering key,
-// type) — the same total order model.SortEvents imposes — so nothing is
-// materialized beyond one row per open iterator.
-func (s *Server) scanHourMerged(spec eventSpec, hour int64, lo, hi time.Time, yield func(query.EventRecord) error) error {
-	rg := model.EventTimeRange(lo, hi)
-	type head struct {
-		it   store.RowIter
-		pkey string
-		disc string
-		row  store.Row
-		ok   bool
-	}
-	pkeys := spec.keysFor(hour)
-	heads := make([]*head, 0, len(pkeys))
-	defer func() {
-		for _, h := range heads {
-			h.it.Close()
-		}
-	}()
-	for _, pkey := range pkeys {
-		it, err := s.db.ScanPartition(spec.table, pkey, rg, store.One)
-		if err != nil {
-			return err
-		}
-		h := &head{it: it, pkey: pkey, disc: spec.disc(pkey)}
-		heads = append(heads, h)
-		if h.row, h.ok = it.Next(); !h.ok {
-			// ok==false is exhausted *or* failed; a priming-read failure
-			// must not pass off as an empty partition.
-			if err := it.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	for {
-		var min *head
-		for _, h := range heads {
-			if !h.ok {
-				continue
-			}
-			if min == nil || h.row.Key < min.row.Key ||
-				(h.row.Key == min.row.Key && h.disc < min.disc) {
-				min = h
-			}
-		}
-		if min == nil {
-			break
-		}
-		e, err := spec.decode(min.pkey, min.row)
-		if err != nil {
-			return err
-		}
-		if spec.filterType == "" || string(e.Type) == spec.filterType {
-			if err := yield(eventRecord(e)); err != nil {
-				return err
-			}
-		}
-		min.row, min.ok = min.it.Next()
-		if !min.ok {
-			if err := min.it.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -24,11 +24,14 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hpclog/internal/analytics"
 	"hpclog/internal/api"
+	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/obs"
 	"hpclog/internal/query"
@@ -173,7 +176,7 @@ func (h *hub) notify(d *store.WriteDigest) {
 			h.scanFallback()
 			return
 		}
-		entries = append(entries, tailEntry{key: row.Key, ts: ts, rec: eventRecord(e)})
+		entries = append(entries, tailEntry{key: row.Key, ts: ts, rec: query.RecordOf(e)})
 	}
 	sh.append(entries, h)
 }
@@ -359,7 +362,7 @@ func (h *hub) close() {
 // entries drained alongside a scan cover rows the scan's clock-bounded
 // window cannot see yet (writer clocks ahead); the delivered-key window
 // dedups across both sources.
-func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.Time, forceScan bool) ([]query.EventRecord, error) {
+func (h *hub) collect(sub *subscriber, tail *eventTail, eng *compute.Engine, db *store.DB, now time.Time, forceScan bool) ([]query.EventRecord, error) {
 	sh := sub.shard
 	epoch := h.scanEpoch.Load()
 	sh.mu.Lock()
@@ -380,13 +383,16 @@ func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.T
 	mustScan := forceScan || lagged || epoch != sub.epoch
 	var out []query.EventRecord
 	if mustScan {
-		err := scanEventsSince(db, tail.typ, tail.from, now, func(key string, rec query.EventRecord) {
-			if tail.delivered[key] {
-				return
-			}
-			tail.delivered[key] = true
-			out = append(out, rec)
-		})
+		err := analytics.ScanEvents(eng, db, sinceQuery(tail.typ, tail.from, now), nil, analytics.ScanConfig{},
+			func(pos analytics.EventPos, e model.Event) error {
+				if !tail.delivered[pos.Key] {
+					// The key may alias a decoded segment block; the window
+					// outlives the scan.
+					tail.delivered[strings.Clone(pos.Key)] = true
+					out = append(out, query.RecordOf(e))
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -445,32 +451,11 @@ func (t *eventTail) prune(now time.Time) {
 	t.from = cut
 }
 
-// scanEventsSince walks the hour partitions of one event type over
-// [since, now+1s) in key order — the scan loop shared by the watch
-// fallback path and the legacy poll. visit receives each row's
-// clustering key and decoded record.
-func scanEventsSince(db *store.DB, typ model.EventType, since int64, now time.Time, visit func(key string, rec query.EventRecord)) error {
-	from := time.Unix(since, 0).UTC()
-	to := now.UTC().Add(time.Second)
-	if !to.After(from) {
-		return nil
-	}
-	rg := model.EventTimeRange(from, to)
-	for _, hour := range model.HoursIn(from, to) {
-		pkey := model.EventByTimeKey(hour, typ)
-		rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			e, err := model.EventFromTimeRow(pkey, row)
-			if err != nil {
-				return err
-			}
-			visit(row.Key, eventRecord(e))
-		}
-	}
-	return nil
+// sinceQuery selects one event type from since through now — one second
+// past now, so an event stamped in the current second is visible: the
+// window the watch fallback and the legacy poll scan.
+func sinceQuery(typ model.EventType, since int64, now time.Time) analytics.EventQuery {
+	return analytics.EventQuery{Type: typ, From: time.Unix(since, 0).UTC(), To: now.UTC().Add(time.Second)}
 }
 
 // skewRecheck bounds how long a committed-but-future-timestamped event
@@ -547,7 +532,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// pushing it down the wire. The span's stage list is bounded, so a
 		// long-lived watch records its first wakes and counts the rest.
 		cg := obs.StartSpan(r.Context(), "watch.collect")
-		events, err := s.hub.collect(sub, tail, s.db, s.now(), forceScan)
+		events, err := s.hub.collect(sub, tail, s.eng, s.db, s.now(), forceScan)
 		cg.End()
 		if err != nil {
 			if !nd.started {
@@ -666,9 +651,11 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 // the store (hour partitions from since to now).
 func (s *Server) eventsSince(typ model.EventType, since int64) ([]query.EventRecord, error) {
 	var out []query.EventRecord
-	err := scanEventsSince(s.db, typ, since, s.now(), func(_ string, rec query.EventRecord) {
-		out = append(out, rec)
-	})
+	err := analytics.ScanEvents(s.eng, s.db, sinceQuery(typ, since, s.now()), nil, analytics.ScanConfig{},
+		func(_ analytics.EventPos, e model.Event) error {
+			out = append(out, query.RecordOf(e))
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

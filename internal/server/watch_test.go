@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
@@ -36,7 +37,7 @@ func waitWake(t *testing.T, sub *subscriber) {
 
 // TestHubShardIsolation: a write digest wakes only subscribers of its
 // event type, and the woken subscriber drains the event from the tail
-// ring (no scan, so a nil DB suffices).
+// ring (no scan, so a nil engine and DB suffice).
 func TestHubShardIsolation(t *testing.T) {
 	h := newHub(16)
 	defer h.close()
@@ -50,7 +51,7 @@ func TestHubShardIsolation(t *testing.T) {
 	waitWake(t, subA)
 
 	tail := newEventTail(model.GPUFail, now.Add(-time.Minute).Unix())
-	out, err := h.collect(subA, tail, nil, now, false)
+	out, err := h.collect(subA, tail, nil, nil, now, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 	if err := ingest.Bootstrap(db, 2); err != nil {
 		t.Fatal(err)
 	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	h := newHub(4) // tiny ring so a 12-event burst overflows
 	defer h.close()
 	cancel := db.RegisterWriteNotify(h.notify)
@@ -137,7 +139,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 	if err := loader.LoadEvents([]model.Event{write(0)}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := h.collect(sub, tail, db, time.Now(), true)
+	out, err := h.collect(sub, tail, eng, db, time.Now(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err = h.collect(sub, tail, db, time.Now(), false)
+	out, err = h.collect(sub, tail, eng, db, time.Now(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err = h.collect(sub, tail, db, time.Now(), false)
+	out, err = h.collect(sub, tail, eng, db, time.Now(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

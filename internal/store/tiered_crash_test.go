@@ -27,10 +27,36 @@ func tieredCrashCfg(dir, tierDir string) Config {
 // TestTieredCorruptionFallsBackToReplica flips one byte in every object
 // of the preferred replica and asserts a consistency-One read still
 // answers correctly off the other replica — the typed integrity error is
-// a replica failure like any other, absorbed by the existing
-// substitution path — while the verify-failure counter records the
-// detection.
+// a replica failure like any other, absorbed by the substitution path —
+// while the verify-failure counter records the detection. Both read
+// shapes are inputs: a materialized Get, and a streaming ScanPartition,
+// whose corrupt block surfaces mid-stream after earlier blocks were
+// already delivered, so the fallback must resume after the last key.
 func TestTieredCorruptionFallsBackToReplica(t *testing.T) {
+	readers := map[string]func(db *DB) ([]Row, error){
+		"get": func(db *DB) ([]Row, error) { return db.Get("events", "hot", Range{}, One) },
+		"scan": func(db *DB) ([]Row, error) {
+			it, err := db.ScanPartition("events", "hot", Range{}, One)
+			if err != nil {
+				return nil, err
+			}
+			defer it.Close()
+			var rows []Row
+			for {
+				r, ok := it.Next()
+				if !ok {
+					return rows, it.Err()
+				}
+				rows = append(rows, r)
+			}
+		},
+	}
+	for name, read := range readers {
+		t.Run(name, func(t *testing.T) { testTieredCorruptionFallback(t, read) })
+	}
+}
+
+func testTieredCorruptionFallback(t *testing.T, read func(db *DB) ([]Row, error)) {
 	dir, tierDir := t.TempDir(), t.TempDir()
 	db, err := OpenDurable(tieredCrashCfg(dir, tierDir))
 	if err != nil {
@@ -76,12 +102,17 @@ func TestTieredCorruptionFallsBackToReplica(t *testing.T) {
 		}
 	}
 
-	got, err := db.Get("events", "hot", Range{}, One)
+	got, err := read(db)
 	if err != nil {
-		t.Fatalf("read with one corrupt replica: %v", err)
+		t.Fatalf("read with one corrupt replica: %v (after %d rows)", err, len(got))
 	}
 	if len(got) != nRows {
 		t.Fatalf("fallback read returned %d rows, want %d", len(got), nRows)
+	}
+	for i, r := range got {
+		if want := EncodeTS(int64(5000+i)) + ":src"; r.Key != want {
+			t.Fatalf("row %d has key %q, want %q (fallback repeated or skipped rows)", i, r.Key, want)
+		}
 	}
 	if db.Tier().VerifyFailures.Load() == 0 {
 		t.Fatal("fallback happened without a recorded verify failure")
